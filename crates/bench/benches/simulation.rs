@@ -20,6 +20,12 @@ fn bench_routing_tables(c: &mut Criterion) {
             b.iter(|| RoutingTable::minimal(black_box(&topo)));
         });
     }
+    // The 106k-endpoint instance: 4418 routers, 19.5M table entries.
+    let sn47 = Topology::slim_noc(47, 24).unwrap();
+    group.sample_size(10);
+    group.bench_function("sn_q47", |b| {
+        b.iter(|| RoutingTable::minimal(black_box(&sn47)));
+    });
     group.finish();
 }
 

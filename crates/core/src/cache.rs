@@ -43,7 +43,11 @@ use std::sync::Mutex;
 /// heuristic, …). Entries written under an older salt remain in the
 /// JSONL file but become unreachable — a version bump invalidates a
 /// cache without touching the filesystem.
-pub const ENGINE_VERSION: &str = "slim_noc-engine-v1";
+///
+/// `v2`: degraded (post-fault) routing moved from per-destination BFS
+/// repair to deadlock-free up\*/down\* tables, which changes every
+/// faulted point's numbers; `v1` entries predate that change.
+pub const ENGINE_VERSION: &str = "slim_noc-engine-v2";
 
 /// The name of the JSON-lines store inside a cache directory.
 const STORE_FILE: &str = "points.jsonl";
@@ -506,17 +510,20 @@ mod tests {
 
     #[test]
     fn stale_engine_entries_never_hit() {
-        let dir = tmp("salt");
-        let old = PointCache::open_with_version(&dir, "engine-old").unwrap();
-        old.put(&old.key(&coord(0.05)), &sample()).unwrap();
-        drop(old);
-        let new = PointCache::open(&dir).unwrap();
-        assert_eq!(new.len(), 1, "entry still on disk");
-        assert!(
-            new.get(&new.key(&coord(0.05))).is_none(),
-            "but unreachable under the current ENGINE_VERSION"
-        );
-        let _ = fs::remove_dir_all(&dir);
+        // `slim_noc-engine-v1` predates up*/down* degraded routing.
+        for version in ["engine-old", "slim_noc-engine-v1"] {
+            let dir = tmp("salt");
+            let old = PointCache::open_with_version(&dir, version).unwrap();
+            old.put(&old.key(&coord(0.05)), &sample()).unwrap();
+            drop(old);
+            let new = PointCache::open(&dir).unwrap();
+            assert_eq!(new.len(), 1, "entry still on disk");
+            assert!(
+                new.get(&new.key(&coord(0.05))).is_none(),
+                "but unreachable under the current ENGINE_VERSION ({version})"
+            );
+            let _ = fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

@@ -440,47 +440,76 @@ proptest! {
 /// the routing layer, cheaper and sharper than end-to-end runs.
 #[test]
 fn reference_routing_agrees_with_optimized_tables() {
+    for idx in 0..6 {
+        let (topo, vcs) = topology(idx);
+        assert_routing_agrees(&topo, vcs);
+    }
+}
+
+/// The same routing-layer differential over each construction path of
+/// `RoutingTable::minimal`: the two-hop mask pass with masks wider than
+/// one 64-bit word (70-port spines), the BFS fallback on graphs of
+/// diameter above 2, and a Slim NoC with enough rows (578) to be split
+/// across threads.
+#[test]
+fn reference_routing_agrees_on_every_table_construction_path() {
+    for (topo, vcs) in [
+        (Topology::folded_clos(70, 4, 1), 2),
+        (Topology::dragonfly(3), 4),
+        (Topology::partitioned_fbf(2, 2, 4, 4, 3), 4),
+        (Topology::slim_noc(17, 1).unwrap(), 2),
+    ] {
+        assert_routing_agrees(&topo, vcs);
+    }
+}
+
+/// Compares every (router, target, hop) decision of the optimized
+/// minimal table against the reference routing.
+fn assert_routing_agrees(topo: &Topology, vcs: usize) {
     use snoc_refsim::RefRouting;
     use snoc_sim::{Flit, PacketId, RoutingTable};
 
-    for idx in 0..6 {
-        let (topo, vcs) = topology(idx);
-        let table = RoutingTable::minimal(&topo);
-        let reference = RefRouting::new(&topo);
-        for cur in topo.routers() {
-            assert_eq!(table.port_count(cur), reference.port_count(cur));
-            for dst in topo.routers() {
-                if cur == dst {
-                    continue;
-                }
+    let table = RoutingTable::minimal(topo);
+    let reference = RefRouting::new(topo);
+    assert_eq!(
+        table.max_finite_distance(),
+        reference.max_finite_distance(),
+        "{}: max distance",
+        topo.name()
+    );
+    for cur in topo.routers() {
+        assert_eq!(table.port_count(cur), reference.port_count(cur));
+        for dst in topo.routers() {
+            if cur == dst {
+                continue;
+            }
+            assert_eq!(
+                table.distance(cur, dst),
+                reference.distance(cur, dst),
+                "{}: dist {cur} -> {dst}",
+                topo.name()
+            );
+            for hops in 0..2u32 {
+                let mut flit = Flit::nth_of_packet(
+                    PacketId(0),
+                    0,
+                    1,
+                    NodeId(0),
+                    NodeId(dst.index()),
+                    dst,
+                    0,
+                    false,
+                    false,
+                );
+                flit.hops = hops as u16;
+                let opt = table.route(cur, &flit, 0, vcs);
+                let (port, vc) = reference.route(cur, dst, hops, vcs);
                 assert_eq!(
-                    table.distance(cur, dst),
-                    reference.distance(cur, dst),
-                    "{}: dist {cur} -> {dst}",
+                    (opt.port, opt.vc),
+                    (port, vc),
+                    "{}: route {cur} -> {dst} hop {hops}",
                     topo.name()
                 );
-                for hops in 0..2u32 {
-                    let mut flit = Flit::nth_of_packet(
-                        PacketId(0),
-                        0,
-                        1,
-                        NodeId(0),
-                        NodeId(dst.index()),
-                        dst,
-                        0,
-                        false,
-                        false,
-                    );
-                    flit.hops = hops as u16;
-                    let opt = table.route(cur, &flit, 0, vcs);
-                    let (port, vc) = reference.route(cur, dst, hops, vcs);
-                    assert_eq!(
-                        (opt.port, opt.vc),
-                        (port, vc),
-                        "{}: route {cur} -> {dst} hop {hops}",
-                        topo.name()
-                    );
-                }
             }
         }
     }
