@@ -30,9 +30,15 @@ use snoc_sim::{Conformance, FaultPlan, RoutingKind, ShardedSimulator, SimConfig,
 use snoc_topology::{NodeId, Topology};
 use snoc_traffic::{BurstModel, TrafficPattern};
 
+/// Size of the fuzzed topology pool ([`topology`] indices `0..TOPOLOGIES`).
+const TOPOLOGIES: usize = 7;
+
 /// The fuzzed topology pool: at least one member of every supported
-/// family (Slim NoC, mesh, torus, Dragonfly, Flattened Butterfly), all
-/// small enough that a case simulates in milliseconds. The second
+/// family (Slim NoC, mesh, torus, Dragonfly, Flattened Butterfly,
+/// folded Clos), all small enough that a case simulates in
+/// milliseconds. The folded Clos's 70-port spines are the pool's only
+/// routers with more than 64 input ports: their busy-port summaries
+/// span two words and their nomination caches are off. The second
 /// element is the VC count required for deadlock freedom (hop-indexed
 /// VCs need one VC per hop of the longest minimal path).
 fn topology(idx: usize) -> (Topology, usize) {
@@ -42,7 +48,8 @@ fn topology(idx: usize) -> (Topology, usize) {
         2 => (Topology::torus(4, 4, 2), 2),
         3 => (Topology::dragonfly(2), 4),
         4 => (Topology::flattened_butterfly(3, 3, 2), 2),
-        _ => (Topology::slim_noc(3, 2).unwrap(), 2),
+        5 => (Topology::slim_noc(3, 2).unwrap(), 2),
+        _ => (Topology::folded_clos(70, 4, 1), 2),
     }
 }
 
@@ -312,7 +319,7 @@ proptest! {
     /// topology family and pattern.
     #[test]
     fn optimized_engine_matches_reference_on_synthetic_traffic(
-        topo_idx in 0usize..6,
+        topo_idx in 0usize..TOPOLOGIES,
         pat_idx in 0usize..6,
         rate in 0.01f64..0.16,
         seed in 0u64..1_000_000,
@@ -347,7 +354,7 @@ proptest! {
     /// top of the Bernoulli/geometric duality.
     #[test]
     fn optimized_engine_matches_reference_under_bursts(
-        topo_idx in 0usize..6,
+        topo_idx in 0usize..TOPOLOGIES,
         off_to_on in 0.05f64..0.9,
         on_to_off in 0.05f64..0.9,
         rate in 0.01f64..0.10,
@@ -365,7 +372,7 @@ proptest! {
     /// must match bit for bit.
     #[test]
     fn exact_equality_on_workload_driven_runs(
-        topo_idx in 0usize..6,
+        topo_idx in 0usize..TOPOLOGIES,
         pat_idx in 0usize..6,
         rate in 0.005f64..0.14,
         seed in 0u64..1_000_000,
@@ -380,7 +387,7 @@ proptest! {
     /// quiesced pairs must all agree bit for bit.
     #[test]
     fn exact_equality_under_fault_storms(
-        topo_idx in 0usize..6,
+        topo_idx in 0usize..TOPOLOGIES,
         pat_idx in 0usize..6,
         rate in 0.005f64..0.10,
         storm_links in 1usize..7,
@@ -395,7 +402,7 @@ proptest! {
     /// drain phase. Exactness must survive saturation.
     #[test]
     fn exact_equality_under_saturation_storms(
-        topo_idx in 0usize..6,
+        topo_idx in 0usize..TOPOLOGIES,
         pat_idx in 0usize..6,
         rate in 0.4f64..1.0,
         storm_links in 1usize..7,
@@ -410,7 +417,7 @@ proptest! {
     /// deterministic routing, for every topology family and pattern.
     #[test]
     fn sharded_engine_is_byte_identical_under_deterministic_routing(
-        topo_idx in 0usize..6,
+        topo_idx in 0usize..TOPOLOGIES,
         pat_idx in 0usize..6,
         rate in 0.01f64..0.16,
         seed in 0u64..1_000_000,
@@ -440,7 +447,7 @@ proptest! {
 /// the routing layer, cheaper and sharper than end-to-end runs.
 #[test]
 fn reference_routing_agrees_with_optimized_tables() {
-    for idx in 0..6 {
+    for idx in 0..TOPOLOGIES {
         let (topo, vcs) = topology(idx);
         assert_routing_agrees(&topo, vcs);
     }
@@ -526,7 +533,7 @@ fn degraded_reference_routing_agrees_with_optimized_tables() {
     use snoc_sim::{Flit, PacketId, RoutingTable};
     use snoc_topology::RouterId;
 
-    for idx in 0..6 {
+    for idx in 0..TOPOLOGIES {
         let (topo, vcs) = topology(idx);
         let nr = topo.router_count();
         let mut router_alive = vec![true; nr];

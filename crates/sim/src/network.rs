@@ -100,7 +100,9 @@ pub struct Simulator {
     chan_alive: Vec<bool>,
     /// Scratch for the ST-drain phase (reused every cycle).
     scratch_st: Vec<(usize, StFlit)>,
-    /// Scratch for the allocation phase (reused every cycle).
+    /// Allocation result plus the allocator's working arrays, shared by
+    /// every router and cycle. Borrowed in place, never moved out: it is
+    /// large enough that a move per router visit shows at low load.
     scratch_alloc: AllocResult,
     /// No-progress watchdog bound in cycles (`None` disarms it): if
     /// flits are live but nothing has moved for this many cycles, the
@@ -1068,7 +1070,6 @@ impl Simulator {
             if self.routers[r].is_idle() {
                 continue; // nothing buffered, nothing to allocate
             }
-            let mut res = std::mem::take(&mut self.scratch_alloc);
             {
                 let routers = &mut self.routers;
                 let arena = &mut self.arena;
@@ -1081,19 +1082,18 @@ impl Simulator {
                     self.concentration,
                     arena,
                     &ready,
-                    &mut res,
+                    &mut self.scratch_alloc,
                 );
             }
             if measuring {
-                report.activity.record_alloc(&res);
+                report.activity.record_alloc(&self.scratch_alloc);
             }
-            for idx in 0..res.freed_inputs.len() {
-                let (port, vc) = res.freed_inputs[idx];
+            for idx in 0..self.scratch_alloc.freed_inputs.len() {
+                let (port, vc) = self.scratch_alloc.freed_inputs[idx];
                 let ch = self.chan_in[r][port];
                 self.channels[ch].push_credit(now, vc);
                 self.activate_channel(ch);
             }
-            self.scratch_alloc = res;
         }
         // 6. Injection: one flit per active node per cycle into the
         // router.

@@ -662,7 +662,6 @@ impl Simulator {
             if self.routers[r].is_idle() {
                 continue;
             }
-            let mut res = std::mem::take(&mut self.scratch_alloc);
             {
                 let routers = &mut self.routers;
                 let arena = &mut self.arena;
@@ -675,14 +674,14 @@ impl Simulator {
                     self.concentration,
                     arena,
                     &ready,
-                    &mut res,
+                    &mut self.scratch_alloc,
                 );
             }
             if measuring {
-                report.activity.record_alloc(&res);
+                report.activity.record_alloc(&self.scratch_alloc);
             }
-            for idx in 0..res.freed_inputs.len() {
-                let (port, vc) = res.freed_inputs[idx];
+            for idx in 0..self.scratch_alloc.freed_inputs.len() {
+                let (port, vc) = self.scratch_alloc.freed_inputs[idx];
                 let ch = self.chan_in[r][port];
                 if meta.role[ch] == ChanRole::CutIn {
                     outbox[meta.remote_shard[ch] as usize].push(BoundaryMsg::Credit {
@@ -695,7 +694,6 @@ impl Simulator {
                     self.activate_channel(ch);
                 }
             }
-            self.scratch_alloc = res;
         }
         // 6. Injection (only local nodes ever enter the worklist).
         for i in 0..self.active_inj.len() {

@@ -27,12 +27,23 @@
 //!   arrays on the shared [`OutputSide`], plus a per-port available-
 //!   credit counter so congestion lookups never rescan the VC row.
 //!
-//! The allocator scans are driven by the mask words: an idle port costs
-//! one integer load, and the per-VC scan skips empty lanes without
-//! touching the buffer slab. The allocation *algorithm* (round-robin
-//! rotations, nomination order, output-arbitration sort) is unchanged
-//! from the array-of-structs layout — results are bit-for-bit
-//! identical; only the state representation moved.
+//! The edge allocator's work is proportional to occupancy, not radix:
+//!
+//! - a **busy-port summary** (one bit per input port, set ⇔ the port's
+//!   occupancy word is non-zero) drives the input pass, so idle ports
+//!   are never visited, and the per-VC scan skips empty lanes without
+//!   touching the buffer slab;
+//! - the output pass records the outputs it nominates in a
+//!   **nominated-output mask** and visits only those, resetting only
+//!   the winner slots it touched;
+//! - the allocation scratch (nominations, per-output winners and
+//!   priorities, the mask, the CBR claim flags) lives once in the
+//!   simulator-owned [`AllocResult`], so every router visit reuses one
+//!   hot copy instead of its own heap buffers.
+//!
+//! The allocation *algorithm* (round-robin rotations, nomination order,
+//! output-arbitration order) is unchanged from the array-of-structs
+//! layout — results are bit-for-bit identical.
 //!
 //! All queues and registers hold 4-byte [`FlitRef`] arena indices; the
 //! flit payloads live in the simulator's [`FlitArena`], so the hot
@@ -98,9 +109,12 @@ struct EdgeLanes {
     /// upstream), so the fault sweep needs the owner recorded here to
     /// release wormhole state of dropped packets.
     route_pkt: Vec<u64>,
-    /// Occupancy word per input port — allocation skips ports at 0, and
-    /// the VC scan skips clear bits without touching the slab.
+    /// Occupancy word per input port — the VC scan skips clear bits
+    /// without touching the slab.
     occ: Vec<u64>,
+    /// Busy-port summary: bit `p` set ⇔ `occ[p] != 0`. The allocator
+    /// visits only these ports.
+    busy: Vec<u64>,
     /// Front-of-lane cache: the packet id of the current front flit
     /// ([`NO_PKT`] = cache empty), filled lazily by the allocator and
     /// invalidated whenever the front changes (pop, or push into an
@@ -114,11 +128,8 @@ struct EdgeLanes {
     /// `front_pkt` is set and no packet route is held).
     front_route_port: Vec<u16>,
     front_route_vc: Vec<u8>,
-    /// Precomputed `lane / vcs` and `1 << (lane % vcs)` — `vcs` is a
-    /// runtime value, so the per-push/pop occupancy-bit address would
-    /// otherwise cost a hardware divide on the hottest datapath.
-    occ_port: Vec<u32>,
-    occ_bit: Vec<u64>,
+    /// VCs per port (lane stride).
+    vcs: usize,
 }
 
 /// `x % m` for `x < 2 * m` as a compare-and-subtract. The moduli on the
@@ -133,6 +144,23 @@ pub(crate) fn fast_wrap(x: usize, m: usize) -> usize {
     } else {
         x
     }
+}
+
+/// Indices of the set bits of a bitmask stored as `u64` words (bit `b`
+/// of word `w` is index `64 * w + b`), in ascending order.
+#[inline(always)]
+fn set_bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(w, &word)| {
+        let mut rest = word;
+        std::iter::from_fn(move || {
+            if rest == 0 {
+                return None;
+            }
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            Some((w << 6) | bit)
+        })
+    })
 }
 
 impl EdgeLanes {
@@ -161,11 +189,11 @@ impl EdgeLanes {
             route_vc: vec![0; lanes],
             route_pkt: vec![NO_PKT; lanes],
             occ: vec![0; in_ports],
-            occ_port: (0..lanes).map(|l| (l / vcs) as u32).collect(),
-            occ_bit: (0..lanes).map(|l| 1u64 << (l % vcs)).collect(),
+            busy: vec![0; in_ports.div_ceil(64)],
             front_pkt: vec![NO_PKT; lanes],
             front_route_port: vec![NO_ROUTE; lanes],
             front_route_vc: vec![0; lanes],
+            vcs,
         }
     }
 
@@ -181,10 +209,12 @@ impl EdgeLanes {
         self.slots[(self.base[lane] + u32::from(self.head[lane])) as usize]
     }
 
-    /// Appends to a non-full lane and sets its occupancy bit. A push
-    /// into an empty lane changes the front, so the front cache drops.
+    /// Appends to the non-full lane `(port, vc)` and sets its occupancy
+    /// and busy-port bits. A push into an empty lane changes the front,
+    /// so the front cache drops.
     #[inline(always)]
-    fn push(&mut self, lane: usize, flit: FlitRef) {
+    fn push(&mut self, port: usize, vc: usize, flit: FlitRef) {
+        let lane = port * self.vcs + vc;
         debug_assert!(!self.is_full(lane), "push into full lane");
         if self.len[lane] == 0 {
             self.front_pkt[lane] = NO_PKT;
@@ -196,13 +226,16 @@ impl EdgeLanes {
         }
         self.slots[(self.base[lane] + pos) as usize] = flit;
         self.len[lane] += 1;
-        self.occ[self.occ_port[lane] as usize] |= self.occ_bit[lane];
+        self.occ[port] |= 1 << vc;
+        self.busy[port >> 6] |= 1 << (port & 63);
     }
 
-    /// Pops the front of a non-empty lane, clearing its occupancy bit
-    /// when it empties.
+    /// Pops the front of the non-empty lane `(port, vc)`, clearing its
+    /// occupancy bit when it empties (and the port's busy bit when the
+    /// port does).
     #[inline(always)]
-    fn pop(&mut self, lane: usize) -> FlitRef {
+    fn pop(&mut self, port: usize, vc: usize) -> FlitRef {
+        let lane = port * self.vcs + vc;
         debug_assert!(self.len[lane] > 0, "pop from empty lane");
         let fr = self.slots[(self.base[lane] + u32::from(self.head[lane])) as usize];
         let next = u32::from(self.head[lane]) + 1;
@@ -215,7 +248,10 @@ impl EdgeLanes {
         self.front_pkt[lane] = NO_PKT;
         self.front_route_port[lane] = NO_ROUTE;
         if self.len[lane] == 0 {
-            self.occ[self.occ_port[lane] as usize] &= !self.occ_bit[lane];
+            self.occ[port] &= !(1 << vc);
+            if self.occ[port] == 0 {
+                self.busy[port >> 6] &= !(1 << (port & 63));
+            }
         }
         fr
     }
@@ -265,11 +301,6 @@ struct CbState {
     stage_flags: Vec<u8>,
     /// Packet length in flits (CB admission check).
     stage_plen: Vec<u32>,
-    /// Precomputed `lane / vcs` and `1 << (lane % vcs)` (see
-    /// [`EdgeLanes::occ_port`]): avoids a hardware divide per staging
-    /// take.
-    stage_occ_port: Vec<u32>,
-    stage_occ_bit: Vec<u64>,
     /// CB virtual output queues, lane-indexed `[out_port * vcs + vc]`.
     queues: Vec<VecDeque<CbFlit>>,
     /// Non-empty-queue word per output port — the CB-read scan skips
@@ -305,8 +336,6 @@ impl CbState {
             stage_cvc: vec![0; in_lanes],
             stage_flags: vec![0; in_lanes],
             stage_plen: vec![0; in_lanes],
-            stage_occ_port: (0..in_lanes).map(|l| (l / vcs) as u32).collect(),
-            stage_occ_bit: (0..in_lanes).map(|l| 1u64 << (l % vcs)).collect(),
             queues: (0..out_lanes).map(|_| VecDeque::new()).collect(),
             queue_mask: vec![0; out_ports],
             open_pkt: vec![NO_PKT; out_lanes],
@@ -330,14 +359,14 @@ impl CbState {
         }
     }
 
-    /// Empties a staging lane, clearing its occupancy bit and dropping
-    /// the staged-flit cache.
+    /// Empties staging lane `lane` (`port`, `vc`), clearing its
+    /// occupancy bit and dropping the staged-flit cache.
     #[inline(always)]
-    fn take_stage(&mut self, lane: usize) -> FlitRef {
+    fn take_stage(&mut self, lane: usize, port: usize, vc: usize) -> FlitRef {
         let fr = self.stage_slot[lane];
         debug_assert!(fr.is_valid(), "take from empty staging lane");
         self.stage_slot[lane] = FlitRef::INVALID;
-        self.stage_occ[self.stage_occ_port[lane] as usize] &= !self.stage_occ_bit[lane];
+        self.stage_occ[port] &= !(1 << vc);
         self.stage_pkt[lane] = NO_PKT;
         self.stage_cport[lane] = NO_ROUTE;
         fr
@@ -404,16 +433,17 @@ impl OutputSide {
 
     /// Whether output resources are available for `(out_port, out_vc)`
     /// for a flit of packet `pkt` (raw id — callers pass the cached
-    /// lane value so this check never touches the arena).
+    /// lane value so this check never touches the arena). The CBR
+    /// allocator additionally checks its per-cycle output claims; the
+    /// edge allocator grants each output at most once by construction.
     #[inline(always)]
     fn ready<F: Fn(usize, usize) -> bool>(
         &self,
-        claimed: &[bool],
         out: RouteDecision,
         pkt: u64,
         link_ready: &F,
     ) -> bool {
-        if self.st_occupied(out.port) || claimed[out.port] {
+        if self.st_occupied(out.port) {
             return false;
         }
         if out.port >= self.net_ports {
@@ -555,24 +585,18 @@ pub(crate) struct RouterCore {
     /// ST registers). `0` means the router is idle and the cycle loop
     /// can skip it entirely.
     live_flits: usize,
-    /// Reusable allocation scratch: per-output claim flags.
-    scratch_claimed: Vec<bool>,
-    /// Reusable allocation scratch: input nominations.
-    scratch_noms: Vec<(usize, usize, RouteDecision)>,
-    /// Reusable allocation scratch: winning nomination index per output
-    /// port (`u32::MAX` = none) for the edge output-arbitration pass.
-    scratch_winner: Vec<u32>,
-    /// Reusable allocation scratch: winning priority per output port.
-    scratch_prio: Vec<u32>,
     /// Whether the cross-cycle nomination cache is enabled: credited
     /// edge-buffer datapath with all net output lanes fitting one
     /// observation word. Pass 1 is a pure function of the port's lanes
     /// and the output resources it examines, so a port's nomination is
     /// reused until one of those inputs changes — at saturation most
     /// ports are blocked on downstream credits and would otherwise
-    /// rescan to the identical conclusion every cycle.
+    /// rescan to the identical conclusion every cycle. When disabled,
+    /// the `nom_*` arrays below are empty.
     nom_cached: bool,
-    /// Nomination cache validity per input port.
+    /// Nomination cache validity per busy input port (an empty port is
+    /// never visited; it refills only through `deliver`, which
+    /// invalidates its entry).
     nom_valid: Vec<bool>,
     /// Cached nominated VC per input port (`u16::MAX` = the scan found
     /// nothing to nominate).
@@ -615,6 +639,26 @@ pub(crate) struct AllocResult {
     /// Successful allocator grants this cycle: edge grants, bypasses,
     /// central-buffer reads and writes (activity counter).
     pub alloc_grants: u64,
+    /// Allocation scratch shared by every router the owner drives.
+    scratch: AllocScratch,
+}
+
+/// Allocation working state reused across routers and cycles, so one
+/// hot copy serves every router visit. Between calls `winner` and
+/// `best` are all `u32::MAX` and `nominated` is all zero: the edge
+/// allocator resets exactly the slots it touched.
+#[derive(Debug, Clone, Default)]
+struct AllocScratch {
+    /// Input nominations `(in_port, in_vc, route)`, in input-port order.
+    noms: Vec<(usize, usize, RouteDecision)>,
+    /// Winning nomination index per output port (`u32::MAX` = none).
+    winner: Vec<u32>,
+    /// Winning round-robin priority per output port.
+    best: Vec<u32>,
+    /// Nominated-output mask words: bit `o` ⇔ output `o` has a winner.
+    nominated: Vec<u64>,
+    /// CBR per-output claim flags for the current cycle.
+    claimed: Vec<bool>,
 }
 
 impl AllocResult {
@@ -666,6 +710,11 @@ impl RouterCore {
             && link_mode == LinkMode::Credited
             && net_ports * vcs <= 64
             && in_ports <= 64;
+        let (nom_ports, nom_lanes) = if nom_cached {
+            (in_ports, net_ports * vcs)
+        } else {
+            (0, 0)
+        };
         RouterCore {
             id,
             net_ports,
@@ -676,17 +725,13 @@ impl RouterCore {
             out: OutputSide::new(net_ports, local_ports, vcs, link_mode == LinkMode::Credited),
             rr_in: vec![0; in_ports],
             live_flits: 0,
-            scratch_claimed: Vec::with_capacity(out_ports),
-            scratch_noms: Vec::with_capacity(in_ports),
-            scratch_winner: Vec::with_capacity(out_ports),
-            scratch_prio: Vec::with_capacity(out_ports),
             nom_cached,
-            nom_valid: vec![false; in_ports],
-            nom_vc: vec![u16::MAX; in_ports],
-            nom_route_port: vec![NO_ROUTE; in_ports],
-            nom_route_vc: vec![0; in_ports],
-            nom_observed: vec![0; in_ports],
-            nom_observers: vec![0; net_ports * vcs],
+            nom_valid: vec![false; nom_ports],
+            nom_vc: vec![u16::MAX; nom_ports],
+            nom_route_port: vec![NO_ROUTE; nom_ports],
+            nom_route_vc: vec![0; nom_ports],
+            nom_observed: vec![0; nom_ports],
+            nom_observers: vec![0; nom_lanes],
         }
     }
 
@@ -749,7 +794,7 @@ impl RouterCore {
                     "input buffer overflow at {} port {port} vc {vc}",
                     self.id
                 );
-                lanes.push(lane, flit);
+                lanes.push(port, vc, flit);
             }
             ArchState::Cb(cb) => {
                 assert!(
@@ -773,21 +818,16 @@ impl RouterCore {
         if self.out.st_live == 0 {
             return;
         }
-        for (w, word) in self.out.st_mask.iter_mut().enumerate() {
-            let mut m = *word;
-            while m != 0 {
-                let port = (w << 6) | m.trailing_zeros() as usize;
-                m &= m - 1;
-                out.push((
-                    port,
-                    StFlit {
-                        flit: self.out.st_flit[port],
-                        out_vc: self.out.st_vc[port] as usize,
-                    },
-                ));
-            }
-            *word = 0;
+        for port in set_bits(&self.out.st_mask) {
+            out.push((
+                port,
+                StFlit {
+                    flit: self.out.st_flit[port],
+                    out_vc: self.out.st_vc[port] as usize,
+                },
+            ));
         }
+        self.out.st_mask.fill(0);
         self.live_flits -= out.len();
         self.out.st_live -= out.len();
     }
@@ -908,17 +948,23 @@ impl RouterCore {
         let vcs = self.vcs;
         let in_ports = net_ports + self.local_ports;
         let out_ports = in_ports;
-        let mut nominations = std::mem::take(&mut self.scratch_noms);
+        let nom_cached = self.nom_cached;
+        let AllocScratch {
+            noms: nominations,
+            winner,
+            best,
+            nominated,
+            ..
+        } = &mut result.scratch;
         nominations.clear();
-        let mut claimed = std::mem::take(&mut self.scratch_claimed);
-        claimed.clear();
-        claimed.resize(out_ports, false);
-        let mut winner = std::mem::take(&mut self.scratch_winner);
-        winner.clear();
-        winner.resize(out_ports, u32::MAX);
-        let mut best = std::mem::take(&mut self.scratch_prio);
-        best.clear();
-        best.resize(out_ports, u32::MAX);
+        if winner.len() < out_ports {
+            winner.resize(out_ports, u32::MAX);
+            best.resize(out_ports, u32::MAX);
+        }
+        let out_words = out_ports.div_ceil(64);
+        if nominated.len() < out_words {
+            nominated.resize(out_words, 0);
+        }
         let ArchState::Edge(lanes) = &mut self.arch else {
             unreachable!()
         };
@@ -935,7 +981,7 @@ impl RouterCore {
         // the full simulator (drain precedes alloc) but not necessarily
         // a bare unit-test call sequence — so both storing and consuming
         // are gated on the ST being drained right now.
-        let cache_on = self.nom_cached && out.st_live == 0;
+        let cache_on = nom_cached && out.st_live == 0;
         // Records a port's freshly scanned observation word and rewrites
         // its bits in the reverse (per-output-lane) observer index.
         #[inline(always)]
@@ -957,16 +1003,17 @@ impl RouterCore {
             }
             nom_observed[port] = observed;
         }
-        // Pass 1 (input arbitration): each input port nominates one VC.
-        // The occupancy word drives the scan: idle ports cost one load,
-        // and clear bits skip without touching the ring slab. The front
+        // Pass 1 (input arbitration): each busy input port, in ascending
+        // order, nominates one VC. The busy-port summary means idle
+        // ports are never visited; within a port the occupancy word
+        // skips clear bits without touching the ring slab. The front
         // cache makes the steady-state retry of a blocked head a pure
         // lane-array read — the arena load and route computation happen
         // once per front flit, not once per cycle. A valid nomination
         // cache entry replays last cycle's conclusion without any scan:
         // the port's lanes and every output resource the scan examined
         // are unchanged, so the outcome is too.
-        for port in 0..in_ports {
+        for port in set_bits(&lanes.busy) {
             if cache_on && nom_valid[port] {
                 let vc = nom_vc[port];
                 if vc != u16::MAX {
@@ -982,19 +1029,12 @@ impl RouterCore {
                 continue;
             }
             let occ = lanes.occ[port];
-            if occ == 0 {
-                if cache_on {
-                    nom_valid[port] = true;
-                    nom_vc[port] = u16::MAX;
-                    store_observed(port, 0, nom_observed, nom_observers);
-                }
-                continue; // empty input: nothing to nominate
-            }
+            debug_assert_ne!(occ, 0, "busy bit set on idle port {port} at {id}");
             // Net output lanes whose credits / wormhole ownership this
             // scan reads; a later change to any of them voids the cached
             // outcome.
             let mut observed = 0u64;
-            let mut nominated = false;
+            let mut nominated_vc = u16::MAX;
             let start = rr_in[port];
             for i in 0..vcs {
                 let vc = fast_wrap(start + i, vcs);
@@ -1045,25 +1085,24 @@ impl RouterCore {
                     route,
                     "front route cache drifted at {id} port {port} vc {vc}",
                 );
-                if route.port < net_ports {
+                // Only cached routers fit every net output lane in one
+                // observation word.
+                if cache_on && route.port < net_ports {
                     observed |= 1 << (route.port * vcs + route.vc);
                 }
-                if out.ready(&claimed, route, lanes.front_pkt[lane], link_ready) {
+                if out.ready(route, lanes.front_pkt[lane], link_ready) {
                     nominations.push((port, vc, route));
                     if cache_on {
-                        nom_valid[port] = true;
-                        nom_vc[port] = vc as u16;
                         nom_route_port[port] = route.port as u16;
                         nom_route_vc[port] = route.vc as u8;
-                        store_observed(port, observed, nom_observed, nom_observers);
                     }
-                    nominated = true;
+                    nominated_vc = vc as u16;
                     break;
                 }
             }
-            if cache_on && !nominated {
+            if cache_on {
                 nom_valid[port] = true;
-                nom_vc[port] = u16::MAX;
+                nom_vc[port] = nominated_vc;
                 store_observed(port, observed, nom_observed, nom_observers);
             }
         }
@@ -1074,7 +1113,8 @@ impl RouterCore {
         // former stable sort by `(output, priority)` put first — and
         // granting outputs in ascending order reproduces the sorted
         // grant sequence bit-for-bit, without the O(n log n) sort that
-        // dominated the saturated-load profile.
+        // dominated the saturated-load profile. Only the nominated
+        // outputs are visited, through the nominated-output mask.
         for (i, &(port, _, route)) in nominations.iter().enumerate() {
             // `rr_out` entries stay `< out_ports` by construction, so
             // the dividend is `< 2 * out_ports` and the round-robin
@@ -1084,26 +1124,28 @@ impl RouterCore {
                 best[route.port] = prio;
                 winner[route.port] = i as u32;
             }
+            nominated[route.port >> 6] |= 1 << (route.port & 63);
         }
-        for &w in winner.iter() {
-            if w == u32::MAX {
-                continue; // no nomination for this output
-            }
-            let (port, vc, route) = nominations[w as usize];
+        for o in set_bits(&nominated[..out_words]) {
+            let (port, vc, route) = nominations[winner[o] as usize];
+            winner[o] = u32::MAX;
+            best[o] = u32::MAX;
             debug_assert!(!out.st_occupied(route.port), "nominated an occupied ST");
             let lane = port * vcs + vc;
-            nom_valid[port] = false; // granting pops this port's lane
-            if route.port < net_ports {
-                // The commit below consumes a credit (and may transfer
-                // wormhole ownership) on this output lane: every port
-                // whose cached scan examined it must rescan.
-                let mut m = nom_observers[route.port * vcs + route.vc];
-                while m != 0 {
-                    nom_valid[m.trailing_zeros() as usize] = false;
-                    m &= m - 1;
+            if nom_cached {
+                nom_valid[port] = false; // granting pops this port's lane
+                if route.port < net_ports {
+                    // The commit below consumes a credit (and may transfer
+                    // wormhole ownership) on this output lane: every port
+                    // whose cached scan examined it must rescan.
+                    let mut m = nom_observers[route.port * vcs + route.vc];
+                    while m != 0 {
+                        nom_valid[m.trailing_zeros() as usize] = false;
+                        m &= m - 1;
+                    }
                 }
             }
-            let fr = lanes.pop(lane);
+            let fr = lanes.pop(port, vc);
             let f = arena.get(fr);
             let kind = f.kind;
             if kind.is_head() {
@@ -1126,10 +1168,7 @@ impl RouterCore {
             }
             out.commit(route, fr, arena);
         }
-        self.scratch_noms = nominations;
-        self.scratch_claimed = claimed;
-        self.scratch_winner = winner;
-        self.scratch_prio = best;
+        nominated[..out_words].fill(0);
     }
 
     fn alloc_cb<const VALIANT: bool, F: Fn(usize, usize) -> bool>(
@@ -1146,10 +1185,13 @@ impl RouterCore {
         let vcs = self.vcs;
         let in_ports = net_ports + self.local_ports;
         let out_ports = in_ports;
-        let mut claimed = std::mem::take(&mut self.scratch_claimed);
+        let AllocScratch {
+            noms: nominations,
+            claimed,
+            ..
+        } = &mut result.scratch;
         claimed.clear();
         claimed.resize(out_ports, false);
-        let mut nominations = std::mem::take(&mut self.scratch_noms);
         nominations.clear();
         let ArchState::Cb(cb) = &mut self.arch else {
             unreachable!()
@@ -1176,7 +1218,7 @@ impl RouterCore {
                     .map(|c| (c.flit, c.pkt));
                 let Some((fr, pkt)) = candidate else { continue };
                 let route = RouteDecision { port: out_port, vc };
-                if out.ready(&claimed, route, pkt, link_ready) {
+                if !claimed[out_port] && out.ready(route, pkt, link_ready) {
                     claimed[out_port] = true;
                     cb.queues[lane].pop_front();
                     if cb.queues[lane].is_empty() {
@@ -1240,20 +1282,23 @@ impl RouterCore {
                 let queue_blocked = cb.stage_flags[lane] & 1 != 0
                     && route.port < out_ports
                     && cb.queue_mask[route.port] >> route.vc & 1 == 1;
-                if !queue_blocked && out.ready(&claimed, route, cb.stage_pkt[lane], link_ready) {
+                if !queue_blocked
+                    && !claimed[route.port]
+                    && out.ready(route, cb.stage_pkt[lane], link_ready)
+                {
                     nominations.push((port, vc, route));
                     break;
                 }
             }
         }
-        for &(port, vc, route) in &nominations {
+        for &(port, vc, route) in nominations.iter() {
             if claimed[route.port] || out.st_occupied(route.port) {
                 continue;
             }
             claimed[route.port] = true;
             let lane = port * vcs + vc;
             let flags = cb.stage_flags[lane]; // cache filled by phase A2
-            let fr = cb.take_stage(lane);
+            let fr = cb.take_stage(lane, port, vc);
             if flags & 1 != 0 {
                 cb.stage_route_port[lane] = route.port as u16;
                 cb.stage_route_vc[lane] = route.vc as u8;
@@ -1330,7 +1375,7 @@ impl RouterCore {
                     continue;
                 }
                 let out_lane = route.port * vcs + route.vc;
-                let fr = cb.take_stage(lane);
+                let fr = cb.take_stage(lane, port, vc);
                 if flags & 1 != 0 {
                     cb.stage_route_port[lane] = route.port as u16;
                     cb.stage_route_vc[lane] = route.vc as u8;
@@ -1361,8 +1406,6 @@ impl RouterCore {
                 break 'write;
             }
         }
-        self.scratch_noms = nominations;
-        self.scratch_claimed = claimed;
     }
 }
 
@@ -1387,7 +1430,20 @@ impl RouterCore {
                         "edge occupancy word drifted at {} port {port}",
                         self.id
                     );
+                    assert_eq!(
+                        lanes.busy[port >> 6] >> (port & 63) & 1 == 1,
+                        lanes.occ[port] != 0,
+                        "busy-port summary drifted at {} port {port}",
+                        self.id
+                    );
                 }
+                let busy_bits: usize = lanes.busy.iter().map(|w| w.count_ones() as usize).sum();
+                let busy_ports = lanes.occ.iter().filter(|&&w| w != 0).count();
+                assert_eq!(
+                    busy_bits, busy_ports,
+                    "busy-port summary has bits past the last port at {}",
+                    self.id
+                );
                 for lane in 0..in_ports * self.vcs {
                     assert!(
                         lanes.front_pkt[lane] == NO_PKT || lanes.len[lane] > 0,
@@ -1565,11 +1621,12 @@ impl RouterCore {
         let mut dropped_here = 0usize;
         let mut kept: Vec<FlitRef> = Vec::new();
         for lane in 0..lanes.len.len() {
+            let (port, vc) = (lane / vcs, lane % vcs);
             let n = lanes.len[lane];
             if n > 0 {
                 kept.clear();
                 for _ in 0..n {
-                    let fr = lanes.pop(lane);
+                    let fr = lanes.pop(port, vc);
                     if drop_pkt(arena.get(fr).packet.0) {
                         removed.push(arena.remove(fr));
                         dropped_here += 1;
@@ -1578,7 +1635,7 @@ impl RouterCore {
                     }
                 }
                 for &fr in &kept {
-                    lanes.push(lane, fr);
+                    lanes.push(port, vc, fr);
                 }
             }
             if lanes.route_port[lane] != NO_ROUTE && drop_pkt(lanes.route_pkt[lane]) {

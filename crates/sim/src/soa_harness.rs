@@ -16,7 +16,7 @@ use crate::routing::RoutingTable;
 use snoc_topology::{NodeId, RouterId, Topology};
 
 /// A single router plus the minimum context needed to drive it: a flit
-/// arena and a routing table over a small mesh.
+/// arena and a routing table over a small topology.
 #[derive(Debug)]
 pub struct RouterHarness {
     core: RouterCore,
@@ -55,11 +55,51 @@ impl RouterHarness {
     /// flow control (credited links get `capacity` credits per VC).
     #[must_use]
     pub fn center_of_mesh(vcs: usize, capacity: usize, arch: HarnessArch, credited: bool) -> Self {
-        let topo = Topology::mesh(3, 3, 1);
+        let h = Self::build(
+            Topology::mesh(3, 3, 1),
+            RouterId(4),
+            vcs,
+            capacity,
+            arch,
+            credited,
+        );
+        assert_eq!(h.net_ports(), 4, "mesh center has 4 neighbors");
+        h
+    }
+
+    /// Builds a spine router of `Topology::folded_clos(70, 4, 1)`: 70
+    /// network ports and no local ports, so the busy-port summary spans
+    /// two words and the nomination cache is off. Arguments as for
+    /// [`RouterHarness::center_of_mesh`].
+    #[must_use]
+    pub fn spine_of_clos(vcs: usize, capacity: usize, arch: HarnessArch, credited: bool) -> Self {
+        let h = Self::build(
+            Topology::folded_clos(70, 4, 1),
+            RouterId(70),
+            vcs,
+            capacity,
+            arch,
+            credited,
+        );
+        assert_eq!(
+            h.in_ports(),
+            70,
+            "clos spine links every leaf, hosts no node"
+        );
+        h
+    }
+
+    fn build(
+        topo: Topology,
+        router: RouterId,
+        vcs: usize,
+        capacity: usize,
+        arch: HarnessArch,
+        credited: bool,
+    ) -> Self {
         let table = RoutingTable::minimal(&topo);
-        let center = RouterId(4);
-        let net_ports = table.port_count(center);
-        assert_eq!(net_ports, 4, "mesh center has 4 neighbors");
+        let net_ports = table.port_count(router);
+        let local_ports = topo.nodes_of(router).len();
         let caps = vec![capacity; net_ports];
         let arch = match arch {
             HarnessArch::Edge => RouterArch::EdgeBuffer,
@@ -71,7 +111,15 @@ impl RouterHarness {
             LinkMode::Elastic
         };
         let mut core = RouterCore::new(
-            center, net_ports, 1, vcs, arch, link_mode, &caps, capacity, false,
+            router,
+            net_ports,
+            local_ports,
+            vcs,
+            arch,
+            link_mode,
+            &caps,
+            capacity,
+            false,
         );
         if credited {
             for p in 0..net_ports {
@@ -82,8 +130,8 @@ impl RouterHarness {
             core,
             arena: FlitArena::default(),
             table,
+            concentration: topo.concentration(),
             topo,
-            concentration: 1,
             next_pid: 0,
             scratch_st: Vec::new(),
             scratch_alloc: AllocResult::default(),
@@ -140,25 +188,23 @@ impl RouterHarness {
 
     /// Runs one allocation cycle with an always-ready link predicate.
     pub fn alloc(&mut self, now: u64) -> AllocSummary {
-        let mut res = std::mem::take(&mut self.scratch_alloc);
         self.core.alloc_into(
             now,
             &self.table,
             self.concentration,
             &mut self.arena,
             &|_, _| true,
-            &mut res,
+            &mut self.scratch_alloc,
         );
-        let summary = AllocSummary {
+        let res = &self.scratch_alloc;
+        AllocSummary {
             freed_inputs: res.freed_inputs.clone(),
             freed_injection: res.freed_injection.clone(),
             grants: res.alloc_grants,
             cb_writes: res.cb_writes,
             cb_reads: res.cb_reads,
             bypasses: res.bypasses,
-        };
-        self.scratch_alloc = res;
-        summary
+        }
     }
 
     /// Drains the ST registers, removing the departing flits from the

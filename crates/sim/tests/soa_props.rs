@@ -2,7 +2,9 @@
 //! datapath.
 //!
 //! Each case drives a single [`RouterHarness`] router (the center of a
-//! 3x3 mesh) through a random deliver/alloc/drain/credit sequence and
+//! 3x3 mesh, or a 70-port folded-Clos spine whose busy-port summary
+//! spans two words and whose nomination cache is off) through a random
+//! deliver/alloc/drain/credit sequence and
 //! checks the SoA hot state — per-lane ring lengths, occupancy bitmask
 //! words, per-VC and per-port credit counters, ST registers, the
 //! live-flit counter — against a naive shadow model that tracks the
@@ -34,6 +36,22 @@ impl OpRng {
     }
 }
 
+/// The router under test: the 3x3-mesh center or, when `wide`, the
+/// 70-port folded-Clos spine.
+fn harness(
+    wide: bool,
+    vcs: usize,
+    capacity: usize,
+    arch: HarnessArch,
+    credited: bool,
+) -> RouterHarness {
+    if wide {
+        RouterHarness::spine_of_clos(vcs, capacity, arch, credited)
+    } else {
+        RouterHarness::center_of_mesh(vcs, capacity, arch, credited)
+    }
+}
+
 /// Naive mirror of the edge router's hot state.
 struct EdgeShadow {
     /// Flits queued per input lane `[port][vc]`.
@@ -60,8 +78,9 @@ proptest! {
         capacity in 1usize..5,
         credited in prop::sample::select(vec![true, false]),
         steps in 40usize..140,
+        wide in prop::sample::select(vec![false, true]),
     ) {
-        let mut h = RouterHarness::center_of_mesh(vcs, capacity, HarnessArch::Edge, credited);
+        let mut h = harness(wide, vcs, capacity, HarnessArch::Edge, credited);
         let in_ports = h.in_ports();
         let net_ports = h.net_ports();
         let nodes = h.node_count();
@@ -194,9 +213,9 @@ proptest! {
         capacity in 1usize..4,
         cb_flits in prop::sample::select(vec![4usize, 8, 16]),
         steps in 40usize..140,
+        wide in prop::sample::select(vec![false, true]),
     ) {
-        let mut h =
-            RouterHarness::center_of_mesh(vcs, capacity, HarnessArch::Cb { cb_flits }, true);
+        let mut h = harness(wide, vcs, capacity, HarnessArch::Cb { cb_flits }, true);
         let in_ports = h.in_ports();
         let nodes = h.node_count();
         let mut rng = OpRng(seed);
