@@ -17,7 +17,10 @@
 //!     schema), in completion order;
 //!   - `{"event": "done", "cache_hits": H, "cache_misses": M,
 //!     "result": {…}}` last, with the full `slim_noc-sweep-v1`/`-v2`
-//!     result compacted to one line.
+//!     result compacted to one line;
+//!   - or, if the campaign panics while running (say, two setups share
+//!     a name), `{"event": "error", "message": "…"}` last instead. The
+//!     server keeps serving later jobs.
 //! - `GET /stats` returns one JSON line of lifetime server counters.
 //! - `GET /health` returns `{"ok": true}`.
 //!
@@ -31,9 +34,10 @@
 //! [`SweepPoint`]: snoc_core::SweepPoint
 
 use snoc_core::json::{self, JsonValue};
-use snoc_core::{Campaign, CampaignSpec, PointCache};
+use snoc_core::{panic_message, Campaign, CampaignSpec, PointCache};
 use std::io::{self, BufRead as _, BufReader, Read as _, Write as _};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread;
@@ -284,26 +288,37 @@ fn run_job(stream: &mut TcpStream, state: &ServerState, body: &str) -> io::Resul
     }
     write_head(stream, 200, "OK")?;
     let out = Mutex::new(stream.try_clone()?);
-    let result = {
+    // The 200 header is already out, so a panicking run must still end
+    // the stream with an event the client can act on.
+    let run = {
         let _turn = state.queue.enter();
-        campaign.run_observed(|point| {
-            let mut w = out.lock().expect("stream lock");
-            let _ = writeln!(
-                w,
-                "{{\"event\": \"point\", \"point\": {}}}",
-                point.to_json_line()
-            );
-            let _ = w.flush();
-        })
+        catch_unwind(AssertUnwindSafe(|| {
+            campaign.run_observed(|point| {
+                let mut w = out.lock().expect("stream lock");
+                let _ = writeln!(
+                    w,
+                    "{{\"event\": \"point\", \"point\": {}}}",
+                    point.to_json_line()
+                );
+                let _ = w.flush();
+            })
+        }))
     };
     state.jobs_done.fetch_add(1, Ordering::Relaxed);
-    writeln!(
-        stream,
-        "{{\"event\": \"done\", \"cache_hits\": {}, \"cache_misses\": {}, \"result\": {}}}",
-        result.cache_hits,
-        result.cache_misses,
-        json::compact(&result.to_json()),
-    )?;
+    match run {
+        Ok(result) => writeln!(
+            stream,
+            "{{\"event\": \"done\", \"cache_hits\": {}, \"cache_misses\": {}, \"result\": {}}}",
+            result.cache_hits,
+            result.cache_misses,
+            json::compact(&result.to_json()),
+        )?,
+        Err(payload) => writeln!(
+            stream,
+            "{{\"event\": \"error\", \"message\": \"{}\"}}",
+            json::escape(&panic_message(payload.as_ref())),
+        )?,
+    }
     stream.flush()
 }
 
@@ -349,8 +364,9 @@ pub struct SubmitOutcome {
 /// # Errors
 ///
 /// Fails on connection errors, non-200 responses (including the
-/// server's `{"error": …}` body in the message), a malformed stream, or
-/// a stream that ends without a `done` event.
+/// server's `{"error": …}` body in the message), a malformed stream, an
+/// `error` event (its message becomes the error's), or a stream that
+/// ends without a `done` event.
 pub fn submit(
     addr: &str,
     spec_json: &str,
@@ -396,6 +412,12 @@ pub fn submit(
                 outcome.cache_hits = count("cache_hits");
                 outcome.cache_misses = count("cache_misses");
                 done = true;
+            }
+            Some("error") => {
+                let message = event.get("message").and_then(JsonValue::as_str);
+                return Err(io::Error::other(
+                    message.unwrap_or("campaign failed").to_string(),
+                ));
             }
             _ => {}
         }

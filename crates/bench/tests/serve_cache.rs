@@ -231,3 +231,38 @@ fn server_without_cache_still_serves() {
     assert_eq!(outcome.points, 1);
     assert_eq!((outcome.cache_hits, outcome.cache_misses), (0, 0));
 }
+
+#[test]
+fn a_panicking_campaign_ends_its_stream_with_an_error_event() {
+    let server = Server::bind("127.0.0.1:0", None, 1).expect("bind");
+    let addr = server.local_addr().expect("bound").to_string();
+    thread::spawn(move || server.run());
+
+    // Two setups with one name pass spec parsing and `Campaign::from_spec`
+    // but panic in the run, after the 200 header is out.
+    let mut dup = spec("duplicate-names", &[0.02]);
+    dup.setups.push(SetupSpec::new("sn54"));
+    let mut lines = Vec::new();
+    let err = submit(&addr, &dup.to_json(), |line| lines.push(line.to_string()))
+        .expect_err("a panicking campaign fails the submission");
+    let last = lines.last().expect("the stream carries an event");
+    let event = json::parse(last).unwrap_or_else(|e| panic!("bad JSONL `{last}`: {e}"));
+    assert_eq!(
+        event.get("event").and_then(JsonValue::as_str),
+        Some("error"),
+        "stream ends in an error event: {last}"
+    );
+    let message = event
+        .get("message")
+        .and_then(JsonValue::as_str)
+        .expect("error event has a message");
+    assert!(message.contains("duplicate setup name"), "{message}");
+    assert_eq!(err.to_string(), message, "submit returns the message");
+
+    // The server keeps serving: the next job runs to its done event.
+    let (outcome, lines) = run_client(&addr, &spec("after-panic", &[0.02]));
+    assert_eq!(outcome.points, 1);
+    let last = lines.last().expect("the stream carries events");
+    let event = json::parse(last).unwrap_or_else(|e| panic!("bad JSONL `{last}`: {e}"));
+    assert_eq!(event.get("event").and_then(JsonValue::as_str), Some("done"));
+}

@@ -34,7 +34,7 @@ mod sweep;
 
 pub use cache::{CachedPoint, PointCache, PointCoord, ENGINE_VERSION};
 pub use faults::{FaultsSpec, StormSpec};
-pub use parallel::{parallel_map, parallel_map_with_threads};
+pub use parallel::{panic_message, parallel_map, parallel_map_with_threads};
 pub use report::{format_float, Series, TextTable};
 pub use setup::{BufferPreset, Setup, SetupError};
 pub use spec::{CampaignSpec, SetupSpec, SpecError};

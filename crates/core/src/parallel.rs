@@ -4,6 +4,7 @@
 //! curve point per configuration); this helper fans them out over
 //! available cores with deterministic result ordering.
 
+use std::any::Any;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
@@ -77,16 +78,23 @@ where
         }
     });
     if let Some((idx, payload)) = first_panic.into_inner().expect("panic slot lock") {
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| (*s).to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_else(|| "non-string panic payload".to_string());
+        let msg = panic_message(payload.as_ref());
         panic!("parallel_map: worker panicked on item {idx}: {msg}");
     }
     let mut results = results.into_inner().expect("results lock");
     results.sort_by_key(|(idx, _)| *idx);
     results.into_iter().map(|(_, r)| r).collect()
+}
+
+/// The message of a caught panic payload (`panic!` with a literal or a
+/// formatted message); other payload types get a placeholder.
+#[must_use]
+pub fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<&str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 #[cfg(test)]

@@ -38,7 +38,7 @@ const TOPOLOGIES: usize = 7;
 /// folded Clos), all small enough that a case simulates in
 /// milliseconds. The folded Clos's 70-port spines are the pool's only
 /// routers with more than 64 input ports: their busy-port summaries
-/// span two words and their nomination caches are off. The second
+/// span two words. The second
 /// element is the VC count required for deadlock freedom (hop-indexed
 /// VCs need one VC per hop of the longest minimal path).
 fn topology(idx: usize) -> (Topology, usize) {

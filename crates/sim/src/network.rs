@@ -216,8 +216,7 @@ impl Simulator {
                 BufferSizing::VariableRtt => 5,
             };
             // Minimal routing never assigns Valiant intermediates, so
-            // those routers take the monomorphized allocation loops with
-            // the intermediate checks compiled out.
+            // those routers skip the intermediate check on delivery.
             routers.push(RouterCore::new(
                 r,
                 ports,
@@ -548,19 +547,17 @@ impl Simulator {
                 true
             }
         });
-        // 6. Swap the degraded table in and reset the per-router route
-        // and nomination caches (both are computed against the table).
-        // Debug builds first re-verify the deadlock-freedom the
-        // up*/down* construction promises — including for packets
-        // already mid-flight with accumulated hop counts.
+        // 6. Swap the degraded table in. Edge routers keep no route
+        // computed from the old table beyond the wormhole routes of
+        // packets already in flight, which keep their path. Debug
+        // builds first re-verify the deadlock-freedom the up*/down*
+        // construction promises — including for packets already
+        // mid-flight with accumulated hop counts.
         #[cfg(debug_assertions)]
         if let Err(e) = crate::verify_deadlock_free(&table, &self.topo, self.cfg.vcs) {
             panic!("degraded routing table is not deadlock-free: {e}");
         }
         self.table = Arc::new(table);
-        for router in &mut self.routers {
-            router.invalidate_route_caches();
-        }
         // 7. Recount credits from ground truth on every live channel:
         // initial credits minus flits on the wire, flits buffered at the
         // receiver, credits in flight back, and an ST hold at the
@@ -607,8 +604,7 @@ impl Simulator {
         warmup: u64,
         measure: u64,
     ) -> SimReport {
-        let sampler = PatternSampler::new(pattern, &self.topo);
-        self.run_pattern(&sampler, rate, warmup, measure)
+        self.run_synthetic_bursty(pattern, rate, BurstModel::uniform(), warmup, measure)
     }
 
     /// Runs open-loop synthetic traffic with a two-state (on/off) Markov
@@ -616,6 +612,13 @@ impl Simulator {
     /// the long-run offered load equal to `rate`, while *off* it injects
     /// nothing (see [`BurstModel`]). `BurstModel::uniform()` reduces to
     /// [`Simulator::run_synthetic`] exactly, draw for draw.
+    ///
+    /// Injection is event-driven: each node carries a next-injection
+    /// cycle drawn from per-node phase sojourns and in-phase geometric
+    /// gaps — distribution-identical to per-cycle Markov state
+    /// transitions plus Bernoulli trials at `rate / packet_flits` — and
+    /// the calendar of those cycles both replaces the per-node per-cycle
+    /// RNG loop and gives the cycle-skipper a horizon to jump to.
     pub fn run_synthetic_bursty(
         &mut self,
         pattern: TrafficPattern,
@@ -625,40 +628,6 @@ impl Simulator {
         measure: u64,
     ) -> SimReport {
         let sampler = PatternSampler::new(pattern, &self.topo);
-        self.run_pattern_bursty(&sampler, rate, burst, warmup, measure)
-    }
-
-    /// Runs synthetic traffic with a pre-compiled pattern sampler.
-    ///
-    /// Injection is event-driven: each node carries a next-injection
-    /// cycle drawn from geometric inter-arrival sampling — distribution-
-    /// identical to a per-cycle Bernoulli trial at `rate / packet_flits`
-    /// — and the calendar of those cycles both replaces the per-node
-    /// per-cycle RNG loop and gives the cycle-skipper a horizon to jump
-    /// to.
-    pub fn run_pattern(
-        &mut self,
-        sampler: &PatternSampler,
-        rate: f64,
-        warmup: u64,
-        measure: u64,
-    ) -> SimReport {
-        self.run_pattern_bursty(sampler, rate, BurstModel::uniform(), warmup, measure)
-    }
-
-    /// Runs synthetic traffic with a pre-compiled sampler and a burst
-    /// model ([`Simulator::run_pattern`] with on/off phases). The
-    /// injection calendar draws per-node phase sojourns and in-phase
-    /// geometric gaps, distribution-identical to per-cycle Markov state
-    /// transitions plus Bernoulli trials.
-    pub fn run_pattern_bursty(
-        &mut self,
-        sampler: &PatternSampler,
-        rate: f64,
-        burst: BurstModel,
-        warmup: u64,
-        measure: u64,
-    ) -> SimReport {
         let mut report = SimReport::new(self.node_count);
         report.measured_cycles = measure;
         let pkt_len = self.cfg.packet_flits;

@@ -41,6 +41,12 @@
 //!   simulator-owned [`AllocResult`], so every router visit reuses one
 //!   hot copy instead of its own heap buffers.
 //!
+//! Every edge router, whatever its radix or routing mode, runs the one
+//! allocation path and keeps no route-derived state between cycles: the
+//! input pass reads each candidate head flit from the arena and takes
+//! the lane's held route or computes one from the table. Only the CBR
+//! keeps a staged-flit cache ([`CbState`]).
+//!
 //! The allocation *algorithm* (round-robin rotations, nomination order,
 //! output-arbitration order) is unchanged from the array-of-structs
 //! layout — results are bit-for-bit identical.
@@ -115,19 +121,6 @@ struct EdgeLanes {
     /// Busy-port summary: bit `p` set ⇔ `occ[p] != 0`. The allocator
     /// visits only these ports.
     busy: Vec<u64>,
-    /// Front-of-lane cache: the packet id of the current front flit
-    /// ([`NO_PKT`] = cache empty), filled lazily by the allocator and
-    /// invalidated whenever the front changes (pop, or push into an
-    /// empty lane). A head flit blocked at saturation is re-examined
-    /// every cycle; the cache turns those retries into pure lane-array
-    /// reads — no arena load, no route recompute. Routes are a pure
-    /// function of the flit and the (fixed) table, so caching cannot
-    /// change results.
-    front_pkt: Vec<u64>,
-    /// Cached computed route of the front flit (valid only while
-    /// `front_pkt` is set and no packet route is held).
-    front_route_port: Vec<u16>,
-    front_route_vc: Vec<u8>,
     /// VCs per port (lane stride).
     vcs: usize,
 }
@@ -190,9 +183,6 @@ impl EdgeLanes {
             route_pkt: vec![NO_PKT; lanes],
             occ: vec![0; in_ports],
             busy: vec![0; in_ports.div_ceil(64)],
-            front_pkt: vec![NO_PKT; lanes],
-            front_route_port: vec![NO_ROUTE; lanes],
-            front_route_vc: vec![0; lanes],
             vcs,
         }
     }
@@ -210,16 +200,11 @@ impl EdgeLanes {
     }
 
     /// Appends to the non-full lane `(port, vc)` and sets its occupancy
-    /// and busy-port bits. A push into an empty lane changes the front,
-    /// so the front cache drops.
+    /// and busy-port bits.
     #[inline(always)]
     fn push(&mut self, port: usize, vc: usize, flit: FlitRef) {
         let lane = port * self.vcs + vc;
         debug_assert!(!self.is_full(lane), "push into full lane");
-        if self.len[lane] == 0 {
-            self.front_pkt[lane] = NO_PKT;
-            self.front_route_port[lane] = NO_ROUTE;
-        }
         let mut pos = u32::from(self.head[lane]) + u32::from(self.len[lane]);
         if pos >= self.cap[lane] {
             pos -= self.cap[lane];
@@ -245,8 +230,6 @@ impl EdgeLanes {
             next as u16
         };
         self.len[lane] -= 1;
-        self.front_pkt[lane] = NO_PKT;
-        self.front_route_port[lane] = NO_ROUTE;
         if self.len[lane] == 0 {
             self.occ[port] &= !(1 << vc);
             if self.occ[port] == 0 {
@@ -291,7 +274,11 @@ struct CbState {
     /// staged flit blocked under contention is re-examined by both the
     /// bypass and the CB-write scans every cycle; the cache makes those
     /// retries arena-free. Routes are a pure function of the flit and
-    /// the table, so caching cannot change results.
+    /// the table, so caching cannot change results as long as the table
+    /// stays fixed — which it does for every central-buffer router: the
+    /// only table swap is fault repair, and
+    /// [`crate::Simulator::set_fault_plan`] rejects central-buffer
+    /// configurations.
     stage_pkt: Vec<u64>,
     /// Cached computed route (valid only while `stage_pkt` is set and no
     /// packet route is held).
@@ -432,10 +419,9 @@ impl OutputSide {
     }
 
     /// Whether output resources are available for `(out_port, out_vc)`
-    /// for a flit of packet `pkt` (raw id — callers pass the cached
-    /// lane value so this check never touches the arena). The CBR
-    /// allocator additionally checks its per-cycle output claims; the
-    /// edge allocator grants each output at most once by construction.
+    /// for a flit of packet `pkt` (raw id). The CBR allocator
+    /// additionally checks its per-cycle output claims; the edge
+    /// allocator grants each output at most once by construction.
     #[inline(always)]
     fn ready<F: Fn(usize, usize) -> bool>(
         &self,
@@ -496,12 +482,11 @@ impl OutputSide {
     }
 }
 
-/// Computes the route for a flit at router `id`. With `VALIANT = false`
-/// (the [`crate::RoutingKind::Minimal`] specialization) the Valiant
-/// intermediate checks compile out and the table lookup skips the
-/// intermediate decode entirely.
+/// Computes the route for a flit at router `id`: the local ejection
+/// port once the flit has reached its destination (and any Valiant
+/// intermediate), otherwise the table's next hop.
 #[inline]
-fn compute_route<const VALIANT: bool>(
+fn compute_route(
     id: RouterId,
     net_ports: usize,
     vcs: usize,
@@ -510,27 +495,15 @@ fn compute_route<const VALIANT: bool>(
     flit: &Flit,
     in_vc: usize,
 ) -> RouteDecision {
-    let _ = in_vc;
-    let at_dst = if VALIANT {
-        flit.dst_router == id && (flit.intermediate().is_none() || flit.intermediate_done())
-    } else {
-        debug_assert!(
-            flit.intermediate().is_none(),
-            "minimal routing never assigns Valiant intermediates"
-        );
-        flit.dst_router == id
-    };
-    if at_dst {
+    if flit.dst_router == id && (flit.intermediate().is_none() || flit.intermediate_done()) {
         // Eject to the local node's port.
         let local = flit.dst.index() % concentration;
         RouteDecision {
             port: net_ports + local,
             vc: 0,
         }
-    } else if VALIANT {
-        table.route(id, flit, in_vc, vcs)
     } else {
-        table.route_direct(id, flit, vcs)
+        table.route(id, flit, in_vc, vcs)
     }
 }
 
@@ -540,7 +513,7 @@ fn compute_route<const VALIANT: bool>(
 /// [`CbState::take_stage`] and by delivery into the slot.
 #[inline]
 #[allow(clippy::too_many_arguments)] // mirrors compute_route's context
-fn fill_stage_cache<const VALIANT: bool>(
+fn fill_stage_cache(
     cb: &mut CbState,
     lane: usize,
     in_vc: usize,
@@ -560,7 +533,7 @@ fn fill_stage_cache<const VALIANT: bool>(
     cb.stage_flags[lane] = u8::from(f.kind.is_head()) | (u8::from(f.kind.is_tail()) << 1);
     cb.stage_plen[lane] = f.packet_len;
     if cb.stage_route_port[lane] == NO_ROUTE {
-        let r = compute_route::<VALIANT>(id, net_ports, vcs, table, concentration, f, in_vc);
+        let r = compute_route(id, net_ports, vcs, table, concentration, f, in_vc);
         cb.stage_cport[lane] = r.port as u16;
         cb.stage_cvc[lane] = r.vc as u8;
     }
@@ -574,8 +547,7 @@ pub(crate) struct RouterCore {
     pub local_ports: usize,
     pub vcs: usize,
     /// Whether the configured routing mode can assign Valiant
-    /// intermediates — `false` selects the monomorphized minimal-routing
-    /// allocation loops.
+    /// intermediates — `false` lets delivery skip the intermediate check.
     valiant: bool,
     arch: ArchState,
     out: OutputSide,
@@ -585,37 +557,6 @@ pub(crate) struct RouterCore {
     /// ST registers). `0` means the router is idle and the cycle loop
     /// can skip it entirely.
     live_flits: usize,
-    /// Whether the cross-cycle nomination cache is enabled: credited
-    /// edge-buffer datapath with all net output lanes fitting one
-    /// observation word. Pass 1 is a pure function of the port's lanes
-    /// and the output resources it examines, so a port's nomination is
-    /// reused until one of those inputs changes — at saturation most
-    /// ports are blocked on downstream credits and would otherwise
-    /// rescan to the identical conclusion every cycle. When disabled,
-    /// the `nom_*` arrays below are empty.
-    nom_cached: bool,
-    /// Nomination cache validity per busy input port (an empty port is
-    /// never visited; it refills only through `deliver`, which
-    /// invalidates its entry).
-    nom_valid: Vec<bool>,
-    /// Cached nominated VC per input port (`u16::MAX` = the scan found
-    /// nothing to nominate).
-    nom_vc: Vec<u16>,
-    /// Cached nominated route per input port.
-    nom_route_port: Vec<u16>,
-    nom_route_vc: Vec<u8>,
-    /// Net output lanes (`out_port * vcs + vc` bits) whose credits /
-    /// wormhole ownership the cached scan observed — a change to any of
-    /// them invalidates the port's cached nomination.
-    nom_observed: Vec<u64>,
-    /// Reverse index of `nom_observed`: per net output lane, the input
-    /// ports (bits) whose cached scan examined it. Keeps invalidation
-    /// proportional to the ports a credit/commit actually affects —
-    /// quiet lanes cost one load — instead of a loop over every input
-    /// port. Bits can be stale toward already-invalid ports (harmless);
-    /// a port's bits are rewritten from its forward word when its scan
-    /// outcome is re-stored.
-    nom_observers: Vec<u64>,
 }
 
 /// Resource release information produced by the allocation phase.
@@ -679,8 +620,8 @@ impl RouterCore {
     /// capacity of each network input port (RTT-sized buffers differ per
     /// port); injection ports use `inj_capacity`. `valiant` declares
     /// whether the routing mode may assign Valiant intermediates —
-    /// `false` (minimal routing) selects the monomorphized allocation
-    /// loops with the intermediate checks compiled out.
+    /// `false` (minimal routing) lets [`RouterCore::deliver`] skip the
+    /// intermediate check. Allocation is the same either way.
     #[allow(clippy::too_many_arguments)] // one call site, in network assembly
     pub(crate) fn new(
         id: RouterId,
@@ -706,15 +647,6 @@ impl RouterCore {
                 ArchState::Cb(CbState::new(in_ports, out_ports, vcs, cb_flits))
             }
         };
-        let nom_cached = matches!(arch, ArchState::Edge(_))
-            && link_mode == LinkMode::Credited
-            && net_ports * vcs <= 64
-            && in_ports <= 64;
-        let (nom_ports, nom_lanes) = if nom_cached {
-            (in_ports, net_ports * vcs)
-        } else {
-            (0, 0)
-        };
         RouterCore {
             id,
             net_ports,
@@ -725,13 +657,6 @@ impl RouterCore {
             out: OutputSide::new(net_ports, local_ports, vcs, link_mode == LinkMode::Credited),
             rr_in: vec![0; in_ports],
             live_flits: 0,
-            nom_cached,
-            nom_valid: vec![false; nom_ports],
-            nom_vc: vec![u16::MAX; nom_ports],
-            nom_route_port: vec![NO_ROUTE; nom_ports],
-            nom_route_vc: vec![0; nom_ports],
-            nom_observed: vec![0; nom_ports],
-            nom_observers: vec![0; nom_lanes],
         }
     }
 
@@ -749,13 +674,6 @@ impl RouterCore {
     pub(crate) fn add_credit(&mut self, out_port: usize, vc: usize) {
         self.out.credits[out_port * self.vcs + vc] += 1;
         self.out.port_credits[out_port] += 1;
-        if self.nom_cached {
-            let mut m = self.nom_observers[out_port * self.vcs + vc];
-            while m != 0 {
-                self.nom_valid[m.trailing_zeros() as usize] = false;
-                m &= m - 1;
-            }
-        }
     }
 
     /// Whether input `port` can accept a flit on `vc` right now.
@@ -774,18 +692,19 @@ impl RouterCore {
     pub(crate) fn deliver(&mut self, port: usize, vc: usize, flit: FlitRef, arena: &mut FlitArena) {
         // Valiant bookkeeping: reaching the intermediate re-targets the
         // flit at its true destination. Minimal routing never assigns
-        // intermediates, so the specialized routers skip the load.
+        // intermediates, so its routers skip the load.
         if self.valiant {
             let f = arena.get_mut(flit);
             if f.intermediate() == Some(self.id) {
                 f.mark_intermediate_done();
             }
+        } else {
+            debug_assert!(
+                arena.get(flit).intermediate().is_none(),
+                "minimal routing never assigns Valiant intermediates"
+            );
         }
         self.live_flits += 1;
-        if self.nom_cached {
-            // A new arrival can change what this port nominates.
-            self.nom_valid[port] = false;
-        }
         let lane = port * self.vcs + vc;
         match &mut self.arch {
             ArchState::Edge(lanes) => {
@@ -891,9 +810,8 @@ impl RouterCore {
     /// performs no per-router allocation. `arena` resolves the buffered
     /// [`FlitRef`]s (and records the hop on departing flits).
     ///
-    /// Generic over the link-readiness predicate (so the network's
-    /// closure inlines instead of dispatching through a vtable) and
-    /// dispatched onto `VALIANT`-specialized loops per routing mode.
+    /// Generic over the link-readiness predicate, so the network's
+    /// closure inlines instead of dispatching through a vtable.
     pub(crate) fn alloc_into<F: Fn(usize, usize) -> bool>(
         &mut self,
         now: u64,
@@ -904,19 +822,9 @@ impl RouterCore {
         result: &mut AllocResult,
     ) {
         result.clear();
-        match (&self.arch, self.valiant) {
-            (ArchState::Edge(_), true) => {
-                self.alloc_edge::<true, F>(table, concentration, arena, link_ready, result);
-            }
-            (ArchState::Edge(_), false) => {
-                self.alloc_edge::<false, F>(table, concentration, arena, link_ready, result);
-            }
-            (ArchState::Cb(_), true) => {
-                self.alloc_cb::<true, F>(now, table, concentration, arena, link_ready, result);
-            }
-            (ArchState::Cb(_), false) => {
-                self.alloc_cb::<false, F>(now, table, concentration, arena, link_ready, result);
-            }
+        match self.arch {
+            ArchState::Edge(_) => self.alloc_edge(table, concentration, arena, link_ready, result),
+            ArchState::Cb(_) => self.alloc_cb(now, table, concentration, arena, link_ready, result),
         }
     }
 
@@ -935,7 +843,7 @@ impl RouterCore {
         result
     }
 
-    fn alloc_edge<const VALIANT: bool, F: Fn(usize, usize) -> bool>(
+    fn alloc_edge<F: Fn(usize, usize) -> bool>(
         &mut self,
         table: &RoutingTable,
         concentration: usize,
@@ -948,7 +856,6 @@ impl RouterCore {
         let vcs = self.vcs;
         let in_ports = net_ports + self.local_ports;
         let out_ports = in_ports;
-        let nom_cached = self.nom_cached;
         let AllocScratch {
             noms: nominations,
             winner,
@@ -970,71 +877,13 @@ impl RouterCore {
         };
         let out = &mut self.out;
         let rr_in = &mut self.rr_in;
-        let nom_valid = &mut self.nom_valid;
-        let nom_vc = &mut self.nom_vc;
-        let nom_route_port = &mut self.nom_route_port;
-        let nom_route_vc = &mut self.nom_route_vc;
-        let nom_observed = &mut self.nom_observed;
-        let nom_observers = &mut self.nom_observers;
-        // The nomination cache is sound only when the scan it shortcuts
-        // would run against empty ST registers, which is every cycle of
-        // the full simulator (drain precedes alloc) but not necessarily
-        // a bare unit-test call sequence — so both storing and consuming
-        // are gated on the ST being drained right now.
-        let cache_on = nom_cached && out.st_live == 0;
-        // Records a port's freshly scanned observation word and rewrites
-        // its bits in the reverse (per-output-lane) observer index.
-        #[inline(always)]
-        fn store_observed(
-            port: usize,
-            observed: u64,
-            nom_observed: &mut [u64],
-            nom_observers: &mut [u64],
-        ) {
-            let mut stale = nom_observed[port] & !observed;
-            while stale != 0 {
-                nom_observers[stale.trailing_zeros() as usize] &= !(1 << port);
-                stale &= stale - 1;
-            }
-            let mut fresh = observed & !nom_observed[port];
-            while fresh != 0 {
-                nom_observers[fresh.trailing_zeros() as usize] |= 1 << port;
-                fresh &= fresh - 1;
-            }
-            nom_observed[port] = observed;
-        }
         // Pass 1 (input arbitration): each busy input port, in ascending
         // order, nominates one VC. The busy-port summary means idle
         // ports are never visited; within a port the occupancy word
-        // skips clear bits without touching the ring slab. The front
-        // cache makes the steady-state retry of a blocked head a pure
-        // lane-array read — the arena load and route computation happen
-        // once per front flit, not once per cycle. A valid nomination
-        // cache entry replays last cycle's conclusion without any scan:
-        // the port's lanes and every output resource the scan examined
-        // are unchanged, so the outcome is too.
+        // skips clear bits without touching the ring slab.
         for port in set_bits(&lanes.busy) {
-            if cache_on && nom_valid[port] {
-                let vc = nom_vc[port];
-                if vc != u16::MAX {
-                    nominations.push((
-                        port,
-                        vc as usize,
-                        RouteDecision {
-                            port: nom_route_port[port] as usize,
-                            vc: nom_route_vc[port] as usize,
-                        },
-                    ));
-                }
-                continue;
-            }
             let occ = lanes.occ[port];
             debug_assert_ne!(occ, 0, "busy bit set on idle port {port} at {id}");
-            // Net output lanes whose credits / wormhole ownership this
-            // scan reads; a later change to any of them voids the cached
-            // outcome.
-            let mut observed = 0u64;
-            let mut nominated_vc = u16::MAX;
             let start = rr_in[port];
             for i in 0..vcs {
                 let vc = fast_wrap(start + i, vcs);
@@ -1042,68 +891,14 @@ impl RouterCore {
                     continue;
                 }
                 let lane = port * vcs + vc;
-                if lanes.front_pkt[lane] == NO_PKT {
-                    let head = arena.get(lanes.front(lane));
-                    lanes.front_pkt[lane] = head.packet.0;
-                    if lanes.route_port[lane] == NO_ROUTE {
-                        let r = compute_route::<VALIANT>(
-                            id,
-                            net_ports,
-                            vcs,
-                            table,
-                            concentration,
-                            head,
-                            vc,
-                        );
-                        lanes.front_route_port[lane] = r.port as u16;
-                        lanes.front_route_vc[lane] = r.vc as u8;
-                    }
-                }
-                let route = if lanes.route_port[lane] == NO_ROUTE {
-                    RouteDecision {
-                        port: lanes.front_route_port[lane] as usize,
-                        vc: lanes.front_route_vc[lane] as usize,
-                    }
-                } else {
-                    RouteDecision {
-                        port: lanes.route_port[lane] as usize,
-                        vc: lanes.route_vc[lane] as usize,
-                    }
-                };
-                debug_assert_eq!(
-                    lanes
-                        .route(lane)
-                        .unwrap_or_else(|| compute_route::<VALIANT>(
-                            id,
-                            net_ports,
-                            vcs,
-                            table,
-                            concentration,
-                            arena.get(lanes.front(lane)),
-                            vc,
-                        )),
-                    route,
-                    "front route cache drifted at {id} port {port} vc {vc}",
-                );
-                // Only cached routers fit every net output lane in one
-                // observation word.
-                if cache_on && route.port < net_ports {
-                    observed |= 1 << (route.port * vcs + route.vc);
-                }
-                if out.ready(route, lanes.front_pkt[lane], link_ready) {
+                let head = arena.get(lanes.front(lane));
+                let route = lanes.route(lane).unwrap_or_else(|| {
+                    compute_route(id, net_ports, vcs, table, concentration, head, vc)
+                });
+                if out.ready(route, head.packet.0, link_ready) {
                     nominations.push((port, vc, route));
-                    if cache_on {
-                        nom_route_port[port] = route.port as u16;
-                        nom_route_vc[port] = route.vc as u8;
-                    }
-                    nominated_vc = vc as u16;
                     break;
                 }
-            }
-            if cache_on {
-                nom_valid[port] = true;
-                nom_vc[port] = nominated_vc;
-                store_observed(port, observed, nom_observed, nom_observers);
             }
         }
         // Pass 2 (output arbitration): pick, per output port, the
@@ -1132,19 +927,6 @@ impl RouterCore {
             best[o] = u32::MAX;
             debug_assert!(!out.st_occupied(route.port), "nominated an occupied ST");
             let lane = port * vcs + vc;
-            if nom_cached {
-                nom_valid[port] = false; // granting pops this port's lane
-                if route.port < net_ports {
-                    // The commit below consumes a credit (and may transfer
-                    // wormhole ownership) on this output lane: every port
-                    // whose cached scan examined it must rescan.
-                    let mut m = nom_observers[route.port * vcs + route.vc];
-                    while m != 0 {
-                        nom_valid[m.trailing_zeros() as usize] = false;
-                        m &= m - 1;
-                    }
-                }
-            }
             let fr = lanes.pop(port, vc);
             let f = arena.get(fr);
             let kind = f.kind;
@@ -1171,7 +953,7 @@ impl RouterCore {
         nominated[..out_words].fill(0);
     }
 
-    fn alloc_cb<const VALIANT: bool, F: Fn(usize, usize) -> bool>(
+    fn alloc_cb<F: Fn(usize, usize) -> bool>(
         &mut self,
         now: u64,
         table: &RoutingTable,
@@ -1251,7 +1033,7 @@ impl RouterCore {
                 if cb.stage_mode[lane] == MODE_CENTRAL {
                     continue;
                 }
-                fill_stage_cache::<VALIANT>(
+                fill_stage_cache(
                     cb,
                     lane,
                     vc,
@@ -1332,7 +1114,7 @@ impl RouterCore {
                     continue;
                 }
                 let lane = port * vcs + vc;
-                fill_stage_cache::<VALIANT>(
+                fill_stage_cache(
                     cb,
                     lane,
                     vc,
@@ -1445,11 +1227,6 @@ impl RouterCore {
                     self.id
                 );
                 for lane in 0..in_ports * self.vcs {
-                    assert!(
-                        lanes.front_pkt[lane] == NO_PKT || lanes.len[lane] > 0,
-                        "front cache set on empty lane {lane} at {}",
-                        self.id
-                    );
                     assert_eq!(
                         lanes.route_port[lane] == NO_ROUTE,
                         lanes.route_pkt[lane] == NO_PKT,
@@ -1521,24 +1298,6 @@ impl RouterCore {
             "live-flit counter drifted at {}",
             self.id
         );
-    }
-
-    /// Drops every route-derived cache: the lazily computed front-flit
-    /// routes and the cross-cycle nomination cache. Must run on every
-    /// router when the routing table is swapped (fault repair) — both
-    /// caches embed decisions of the outgoing table.
-    pub(crate) fn invalidate_route_caches(&mut self) {
-        match &mut self.arch {
-            ArchState::Edge(lanes) => {
-                lanes.front_pkt.fill(NO_PKT);
-                lanes.front_route_port.fill(NO_ROUTE);
-            }
-            ArchState::Cb(cb) => {
-                cb.stage_pkt.fill(NO_PKT);
-                cb.stage_cport.fill(NO_ROUTE);
-            }
-        }
-        self.nom_valid.fill(false);
     }
 
     /// Fault scan: reports the packet id of every wormhole commitment
@@ -1664,9 +1423,7 @@ impl RouterCore {
     }
 
     /// Fault support: overwrites one output lane's credit counter with a
-    /// ground-truth recount, keeping the per-port sum in sync. Callers
-    /// must invalidate the nomination cache afterwards
-    /// ([`RouterCore::invalidate_route_caches`]).
+    /// ground-truth recount, keeping the per-port sum in sync.
     pub(crate) fn set_lane_credits(&mut self, out_port: usize, vc: usize, value: usize) {
         let lane = out_port * self.vcs + vc;
         let old = self.out.credits[lane];
@@ -2099,49 +1856,5 @@ mod tests {
         r.add_credit(0, 0);
         assert_eq!(r.port_credits(0), 10);
         r.verify_soa_invariants();
-    }
-
-    #[test]
-    fn minimal_specialization_matches_generic_path() {
-        // The same delivery/alloc sequence through the VALIANT=true and
-        // VALIANT=false instantiations must be bit-identical when no
-        // intermediates are assigned (minimal routing).
-        let (_t, table) = table();
-        let run = |valiant: bool| -> Vec<(usize, usize, u16)> {
-            let mut arena = FlitArena::default();
-            let caps = vec![5; 1];
-            let mut r = RouterCore::new(
-                RouterId(0),
-                1,
-                1,
-                2,
-                RouterArch::EdgeBuffer,
-                LinkMode::Credited,
-                &caps,
-                20,
-                valiant,
-            );
-            r.set_credits(0, 5);
-            let mut log = Vec::new();
-            for i in 0..6u64 {
-                let mut f = head_to(if i % 2 == 0 { 2 } else { 0 }, 1);
-                f.packet = PacketId(i + 1);
-                let fr = arena.insert(f);
-                r.deliver(
-                    if i % 2 == 0 { 1 } else { 0 },
-                    (i % 2) as usize,
-                    fr,
-                    &mut arena,
-                );
-                let _ = r.alloc(i, &table, 1, &mut arena, &|_, _| true);
-                let mut st = Vec::new();
-                r.drain_st(&mut st);
-                for (port, stf) in st {
-                    log.push((port, stf.out_vc, arena.get(stf.flit).hops));
-                }
-            }
-            log
-        };
-        assert_eq!(run(true), run(false));
     }
 }

@@ -69,7 +69,7 @@ impl RouterHarness {
 
     /// Builds a spine router of `Topology::folded_clos(70, 4, 1)`: 70
     /// network ports and no local ports, so the busy-port summary spans
-    /// two words and the nomination cache is off. Arguments as for
+    /// two words. Arguments as for
     /// [`RouterHarness::center_of_mesh`].
     #[must_use]
     pub fn spine_of_clos(vcs: usize, capacity: usize, arch: HarnessArch, credited: bool) -> Self {

@@ -3,8 +3,8 @@
 //!
 //! Each case drives a single [`RouterHarness`] router (the center of a
 //! 3x3 mesh, or a 70-port folded-Clos spine whose busy-port summary
-//! spans two words and whose nomination cache is off) through a random
-//! deliver/alloc/drain/credit sequence and
+//! spans two words) through a random deliver/alloc/drain/credit
+//! sequence and
 //! checks the SoA hot state — per-lane ring lengths, occupancy bitmask
 //! words, per-VC and per-port credit counters, ST registers, the
 //! live-flit counter — against a naive shadow model that tracks the
